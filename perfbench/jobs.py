@@ -8,6 +8,10 @@ be.  A rank starts call ``i + 1`` only after call ``i`` returned (closed
 loop).  The job's per-call latency is the slowest rank's time inside the
 call, the paper's §4 method.
 
+No rank starts its first gap before every rank has finished MPI_Init, so
+the host time until the last rank's ``main`` starts (``setup_s``) holds
+set-up work only, in a full run exactly as in a set-up-only run.
+
 A call fails when the job raises (``McastLost``, ``DeadlockError``,
 ``PartitionError``, anything else) before every rank finished it, when the
 simulated deadline cuts it off, or when some rank got wrong bytes.  Calls
@@ -154,6 +158,8 @@ class _Progress:
     def __init__(self, job: Job):
         ncalls = len(job.calls)
         self.main_start = [None] * job.n
+        self.started = 0
+        self.all_started = None       #: sim event: every main has started
         self.latency = [0.0] * ncalls
         self.done = [0] * ncalls
         self.wrong: set[int] = set()
@@ -167,6 +173,13 @@ def _program(job: Job, oracle: Optional[_Oracle], progress: _Progress):
         if oracle is None:          # a set-up-only pass
             return None
         comm, rank, sim = env.comm, env.rank, env.sim
+        if progress.all_started is None:
+            progress.all_started = sim.event()
+        progress.started += 1
+        if progress.started == job.n:
+            progress.all_started.succeed()
+        else:
+            yield progress.all_started
         impl_now: dict = {}
         for i, call in enumerate(calls):
             yield sim.timeout(call.gaps[rank])
@@ -215,7 +228,13 @@ def run_job(job: Job, setup_only: bool = False,
     records = []
     if traced:
         for rec in drain_recorders():
-            records.extend(call.as_dict() for call in rec.calls)
+            # a call that a failure or the deadline cut short never
+            # reached collective_end: its record is still open on the
+            # host's stack (FlightRecorder.frame_totals counts it too)
+            still_open = [call for addr in sorted(rec._stack_of)
+                          for call in rec._stack_of[addr]]
+            records.extend(call.as_dict()
+                           for call in [*rec.calls, *still_open])
 
     latency: list = []
     failures: dict = {}

@@ -2,19 +2,21 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload lan-9 --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload lan-9 --seed 1 --seconds 36 --trace 0
     python3 perfbench/run.py --workload all --seed 1 --seconds 1
     python3 perfbench/run.py --workload lossy-64 --seed 1 --selfcheck
 
-``--trace 0`` measures the end-to-end metrics with tracing off.  It runs the
-workload's seeded plan in rounds until ``--seconds`` have passed, checks
-that every round simulated exactly the same thing, and adds passes that
-only set up the clusters until it has the workload's number of set-up
-samples.  ``--trace 1`` runs the plan untraced and then traced (flight
-recorder plus the timing wrappers of ``probes.py``), checks that both
+``--trace 0`` measures the end-to-end metrics with tracing off.  It runs
+the seeded plan in rounds for as long as the next round should still end
+within ``--seconds`` (at least one round) and checks that every round
+simulated exactly the same thing.  Passes that only set up the clusters
+then make up the workload's number of set-up samples.  ``--trace 1``
+runs the plan untraced and then traced (flight recorder plus the timing
+wrappers of ``probes.py``), in the same time box, checks that both
 simulated exactly the same thing, and prints the per-layer metrics.
 ``--selfcheck`` runs the plan twice with the seed and once with the next
 seed and checks that the simulated results repeat and then change.
+A failed check prints ``CHECK FAILED`` and makes the exit code 1.
 
 The last line of the output is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  See README.md for the metrics.
@@ -36,68 +38,21 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-E2E_UNITS = {
-    "setup_s": "s",
-    "calls_per_s": "1/s",
-    "sim_latency_us.p50": "us",
+#: end-to-end metrics that are printed but not gated: BENCHMARK.json lists
+#: only metrics every workload defines and that are never 0 (README.md)
+E2E_EXTRA = {
     "sim_latency_us.p99": "us",
-    "frames_per_call": "count",
     "trunk_frames_per_call": "count",
     "fail_ratio": "ratio",
-    "peak_rss_mb": "MB",
 }
-#: end-to-end metrics that every workload defines and that are never 0;
-#: the others are printed but stay out of the JSON line (see README.md)
-E2E_GATED = ("setup_s", "calls_per_s", "sim_latency_us.p50",
-             "frames_per_call", "peak_rss_mb")
 
-LAYER_UNITS = {
-    "simnet.topology.build_cluster_s": "s",
-    "simnet.topology.segment_of_calls": "count",
-    "simnet.fabric.trunk_path_tiers_calls": "count",
-    "simnet.fabric.self_s": "s",
-    "mpi.world.init_s": "s",
-    "core.channel.init_calls": "count",
-    "core.channel.init_s": "s",
-    "mpi.communicator.setup_s": "s",
-    "mpi.collective.hier.build_calls": "count",
-    "mpi.collective.hier.build_s": "s",
-    "mpi.communicator.dispatch_calls": "count",
-    "mpi.collective.policy.resolve_calls": "count",
-    "mpi.collective.policy.busy_s": "s",
-    "analysis.framecount.model_calls": "count",
-    "analysis.framecount.busy_s": "s",
-    "mpi.p2p.messages": "count",
-    "simnet.kernel.events": "count",
-    "simnet.kernel.peak_live": "count",
-    "simnet.kernel.run_s": "s",
-    "simnet.kernel.us_per_event": "us",
-    "simnet.net.frames_sent": "count",
-    "simnet.net.frames_forwarded": "count",
-    "simnet.net.frames_trunk": "count",
-    "simnet.net.frames_delivered": "count",
-    "simnet.frame.pool_allocated": "count",
-    "simnet.frame.pool_reused": "count",
-    "simnet.frame.reuse_ratio": "ratio",
-    "simnet.medium.collisions": "count",
-    "simnet.medium.backoffs": "count",
-    "core.rounds.rounds": "count",
-    "core.rounds.repair_rounds": "count",
-    "core.rounds.nacked_segments": "count",
-    "core.rounds.drain_timeouts": "count",
-    "core.rounds.pacing_gap_us": "us",
-    "core.rounds.posted_high_water": "count",
-    "core.rounds.busy_s": "s",
-    "core.rounds.useful_ratio": "ratio",
-    "simnet.udp.datagrams_sent": "count",
-    "simnet.udp.datagrams_delivered": "count",
-    "simnet.udp.drops_not_posted": "count",
-    "simnet.udp.drops_buffer_full": "count",
-    "simnet.udp.drops_lossy": "count",
-    "simnet.udp.delivery_ratio": "ratio",
-    "runtime.run_spmd_s": "s",
-    "runtime.tracing_overhead_ratio": "ratio",
-}
+
+def load_units() -> tuple[dict, dict]:
+    """Units of the gated end-to-end and of the per-layer metrics, in
+    BENCHMARK.json's order."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return ({m["name"]: m["unit"] for m in spec["end_to_end"]},
+            {m["name"]: m["unit"] for m in spec["per_layer"]})
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +114,19 @@ def run_pass(plan, setup_only=False, traced=False) -> Pass:
                  for job in plan])
 
 
+def time_boxed(seconds: float, one_round) -> list:
+    """Results of ``one_round()``, repeated while the next round, taking
+    as long as the slowest so far, should end within ``seconds``; at
+    least one."""
+    t0 = perf_counter()
+    out, longest = [], 0.0
+    while not out or perf_counter() - t0 + longest <= seconds:
+        t = perf_counter()
+        out.append(one_round())
+        longest = max(longest, perf_counter() - t)
+    return out
+
+
 # ----------------------------------------------------------------------
 # end-to-end metrics (--trace 0)
 # ----------------------------------------------------------------------
@@ -169,16 +137,15 @@ def percentile(samples: list, q: float) -> float:
 
 
 def end_to_end(spec, plan, seconds: float) -> tuple[dict, dict, list, Pass]:
-    t0 = perf_counter()
-    rounds = [run_pass(plan)]
-    while perf_counter() - t0 < seconds:
-        rounds.append(run_pass(plan))
-    problems = []
-    if any(r.digest() != rounds[0].digest() for r in rounds[1:]):
-        problems.append("rounds of one seed simulated different results")
+    rounds = time_boxed(seconds, lambda: run_pass(plan))
+    # no rank starts calling before the last one's main starts
+    # (jobs.py), so a round's set-up is timed as in a set-up-only pass
     setups = [r.setup_s for r in rounds]
     while len(setups) < spec.setup_samples:
         setups.append(run_pass(plan, setup_only=True).setup_s)
+    problems = []
+    if any(r.digest() != rounds[0].digest() for r in rounds[1:]):
+        problems.append("rounds of one seed simulated different results")
     first = rounds[0]
     lats = first.latencies
     p50 = percentile(lats, 0.50)
@@ -202,8 +169,11 @@ def end_to_end(spec, plan, seconds: float) -> tuple[dict, dict, list, Pass]:
         metrics["sim_latency_us.p99"] = (p99 if p99 != math.inf
                                          else first.deadline_us)
     notes = {
-        "setup_s": f"median of {len(setups)} set-up passes",
-        "calls_per_s": f"median of {len(rounds)} rounds",
+        "setup_s": f"median of {len(setups)} set-up samples, "
+                   f"{len(rounds)} from rounds",
+        "calls_per_s": (f"median of {len(rounds)} rounds"
+                        if len(rounds) > 1 else
+                        "one round: a second would not end in --seconds"),
         "sim_latency_us.p50": f"{len(lats)} calls"
         + (", lands on a failed call" if p50 == math.inf else ""),
         "sim_latency_us.p99": (
@@ -219,14 +189,14 @@ def end_to_end(spec, plan, seconds: float) -> tuple[dict, dict, list, Pass]:
 # ----------------------------------------------------------------------
 # per-layer metrics (--trace 1)
 # ----------------------------------------------------------------------
-def per_layer(plan, seconds: float) -> tuple[dict, dict, list, Pass]:
+def per_layer(plan, seconds: float,
+              layer_units: dict) -> tuple[dict, dict, list, Pass]:
     from perfbench.probes import Probes
     from repro.obs import TRACE_ENV
 
-    samples: list[dict] = []
     problems: list[str] = []
-    t0 = perf_counter()
-    while not samples or perf_counter() - t0 < seconds:
+
+    def one_round() -> tuple[dict, Pass]:
         plain = run_pass(plan)
         os.environ[TRACE_ENV] = "1"
         try:
@@ -237,11 +207,15 @@ def per_layer(plan, seconds: float) -> tuple[dict, dict, list, Pass]:
         if traced.digest() != plain.digest():
             problems.append("the traced run simulated different results "
                             "from the untraced run")
-        samples.append(_layer_metrics(probes, plain, traced))
+        return _layer_metrics(probes, plain, traced), plain
+
+    rounds = time_boxed(seconds, one_round)
+    samples = [sample for sample, _ in rounds]
+    plain = rounds[0][1]
     metrics = {}
-    for name in LAYER_UNITS:
+    for name, unit in layer_units.items():
         values = [s[name] for s in samples]
-        if LAYER_UNITS[name] == "count" and len(set(values)) > 1:
+        if unit == "count" and len(set(values)) > 1:
             problems.append(f"{name} differs between traced runs: {values}")
         metrics[name] = statistics.median(values)
     return metrics, {}, problems, plain
@@ -358,6 +332,15 @@ def report(workload: str, seed: int, first: Pass, metrics: dict,
     print("  failures by type: " + (", ".join(
         f"{label}={count}" for label, count in sorted(failures.items()))
         or "none"))
+    by_impl: dict = {}
+    for r in first.results:
+        for call, lat in zip(r.job.calls, r.latency_us):
+            tally = by_impl.setdefault(call.impl, [0, 0])
+            tally[0] += lat == math.inf
+            tally[1] += 1
+    print("  failed/attempted by implementation: " + ", ".join(
+        f"{impl} {failed}/{attempted}"
+        for impl, (failed, attempted) in sorted(by_impl.items())))
 
 
 def run_all(args) -> int:
@@ -391,7 +374,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selfcheck", action="store_true")
     args = parser.parse_args(argv)
@@ -412,6 +395,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}; choose from "
                      f"{sorted(WORKLOADS)} or all")
     spec = WORKLOADS[args.workload]
+    gated_units, layer_units = load_units()
     plan = make_plan(args.workload, args.seed)
 
     if args.selfcheck:
@@ -423,12 +407,14 @@ def main(argv=None) -> int:
         return 1 if problems else 0
 
     if args.trace:
-        metrics, notes, problems, first = per_layer(plan, args.seconds)
-        units, shown = LAYER_UNITS, list(LAYER_UNITS)
+        metrics, notes, problems, first = per_layer(plan, args.seconds,
+                                                    layer_units)
+        units = shown = layer_units
     else:
         metrics, notes, problems, first = end_to_end(spec, plan,
                                                      args.seconds)
-        units, shown = E2E_UNITS, E2E_GATED
+        shown = gated_units
+        units = {**gated_units, **E2E_EXTRA}
     report(args.workload, args.seed, first, metrics, units, notes)
     if WRONG in first.failures:
         problems.append("some calls returned wrong results")
@@ -439,10 +425,10 @@ def main(argv=None) -> int:
         "correct": not problems,
         "attempted": first.attempted,
         "failed": failed,
-        "metrics": {name: {"value": metrics[name], "unit": units[name]}
-                    for name in shown},
+        "metrics": {name: {"value": metrics[name], "unit": unit}
+                    for name, unit in shown.items()},
     }))
-    return 0
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -95,8 +95,12 @@ class Job:
 
 @dataclass(frozen=True)
 class Workload:
-    #: set-up samples a run collects; passes that only set up the
-    #: clusters make up for rounds the time budget did not fit
+    #: set-up samples whose median is ``setup_s``: one per round, and
+    #: passes that only set up the clusters make up the rest.  A set-up
+    #: of ``lan-9`` takes about 8 ms, so one sample is mostly host jitter
+    #: and 41 cost under half a second.  One of ``fabric-1024`` takes
+    #: about 4 s and one of ``lossy-64`` about 2 s, so they take the
+    #: median of three to stay within the time box.
     setup_samples: int
     builder: object      #: ``builder(rng) -> list[Job]``
 
@@ -201,7 +205,14 @@ def _fabric_jobs(rng) -> list[Job]:
 LOSSY_TOPOLOGY = "tree:4x4x4"
 LOSSY_N = 64
 LOSSY_PARAMS = replace(FAST_ETHERNET_SWITCH, loss=0.01)
-#: jobs per engine; one in three runs the flat engine
+#: jobs per engine: one job in three runs the flat engine.  The flat
+#: engine fails almost every call at seed (``McastLost``), so its share
+#: of the jobs sets where the median call falls.  At one in two, 34-36 of
+#: 72 calls fail over seeds 1-10 and p50 is the slowest completed call
+#: in four of them and among the three slowest in all (one failure more
+#: and it can read the deadline); at one in three, p50 lies about 18
+#: completed calls inside.  The run prints the failures of each
+#: implementation, which the mix does not change.
 LOSSY_FLAT_JOBS = 6
 LOSSY_HIER_JOBS = 12
 
