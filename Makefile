@@ -1,10 +1,11 @@
-# Developer entry points.  `make smoke` is the CI gate: tier-1 tests plus
-# tiny benchmark invocations, so the benchmark entry points cannot
-# silently rot.  `make bench-gate` is the perf gate: the declarative
-# sweeps re-run at gate scale and diff against the committed
+# Developer entry points.  `make smoke` is the CI test gate: the tier-1
+# tests.  `make bench-gate` is the perf gate: every declarative sweep
+# area (the paper's figures 7-13 among them, as the `paper` area) re-run
+# at gate scale and diffed against the committed
 # benchmarks/results/BENCH_*.json baselines (frame counts exactly,
-# latency within the band documented in docs/BENCHMARKS.md); refresh
-# baselines intentionally with `make bench-baselines`.  `make
+# latency within the band documented in docs/BENCHMARKS.md), with each
+# area's postconditions checked; refresh baselines intentionally with
+# `make bench-baselines`.  `make
 # docs-check` is the docs gate: the generated docs/collectives.md and
 # docs/benchmarks-index.md must be current and every relative Markdown
 # link under README.md / docs/ / benchmarks/results/ must resolve.
@@ -15,8 +16,7 @@
 # teardown assert that no sockets, group memberships or events leak.
 #
 # CI: .github/workflows/ci.yml runs `make smoke` on every push and PR
-# across Python 3.10-3.12 (uploading benchmarks/results/ as an artifact),
-# plus `make bench-gate`, `make lint`, `make lint-deep` and
+# across Python 3.10-3.12, plus `make bench-gate`, `make lint`, `make lint-deep` and
 # `make docs-check` as separate jobs.  Locally, `make lint` needs ruff
 # on PATH (pip install ruff) and skips with a notice otherwise — CI
 # always installs it, so lint failures cannot slip through.  `make
@@ -24,23 +24,17 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test smoke lint lint-deep fuzz bench-segmented bench-gate \
-	bench-baselines bench-full docs docs-check
+.PHONY: test smoke lint lint-deep fuzz bench-gate bench-baselines \
+	bench-full docs docs-check
 
 test:
 	$(PY) -m pytest -x -q
 
 smoke: test
-	REPRO_SEG_SMOKE=1 REPRO_BENCH_REPS=3 $(PY) -m pytest -q \
-		benchmarks/bench_segmented_bcast.py \
-		benchmarks/bench_segmented_reduce.py \
-		benchmarks/bench_fabric_scaling.py \
-		benchmarks/bench_deep_fabric.py \
-		benchmarks/bench_sim_throughput.py
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests examples; \
 	else \
 		echo "ruff not installed; skipping lint (CI installs it)"; \
 	fi
@@ -48,7 +42,7 @@ lint:
 # Protocol-invariant static analysis + the leak-sanitized tier-1 run.
 # Stdlib-only: works everywhere the tests work.
 lint-deep:
-	$(PY) -m repro.lint src tests benchmarks examples
+	$(PY) -m repro.lint src tests examples
 	REPRO_SANITIZE=1 $(PY) -m pytest -x -q
 
 # The chaos gate: 200 seeded property-fuzz cases over every registered
@@ -58,9 +52,6 @@ lint-deep:
 fuzz:
 	REPRO_SANITIZE=1 $(PY) -m repro.chaos.fuzz --budget 200 --seed 1 \
 		--workers 2 --artifacts chaos-artifacts
-
-bench-segmented:
-	$(PY) -m pytest -q benchmarks/bench_segmented_bcast.py
 
 # The perf regression gate CI runs: re-sweep every area at gate scale
 # and diff against the committed BENCH_*.json baselines (frame counts
@@ -74,13 +65,9 @@ bench-baselines:
 	$(PY) -m repro.bench.cli sweep
 	$(PY) -m repro.bench.cli bench-doc
 
-# The big sweeps (not committed; honours REPRO_BENCH_REPS).
+# The big sweeps, written to build/bench-full/ (never committed).
 bench-full:
-	$(PY) -m pytest -q benchmarks/bench_segmented_bcast.py \
-		benchmarks/bench_segmented_reduce.py \
-		benchmarks/bench_fabric_scaling.py \
-		benchmarks/bench_deep_fabric.py \
-		benchmarks/bench_sim_throughput.py
+	$(PY) -m repro.bench.cli sweep --scale full --results-dir build/bench-full
 
 # Regenerate the derived docs (the collective registry reference and
 # the benchmarks index).

@@ -12,9 +12,16 @@ a single multicast.
 Run:  python examples/barrier_scaling.py
 """
 
+from statistics import median
+
 from repro.analysis import (paper_mcast_barrier_messages,
                             paper_mpich_barrier_messages)
-from repro.bench import measure_barrier
+from repro.bench import measure
+
+
+def barrier_us(impl: str, n: int, seed: int) -> float:
+    """Median of 15 max-over-ranks barrier latencies on the hub."""
+    return median(measure("barrier", impl, "hub", n, [0], 15, seed)[0])
 
 
 def main() -> None:
@@ -23,16 +30,13 @@ def main() -> None:
           f"speedup")
     print("-" * 78)
     for n in range(2, 10):
-        mpich = measure_barrier("p2p-mpich", "hub", n, reps=15, seed=n)
-        dis = measure_barrier("p2p-dissemination", "hub", n, reps=15,
-                              seed=200 + n)
-        mcast = measure_barrier("mcast", "hub", n, reps=15, seed=100 + n)
-        mpich_us = mpich.median(0)
-        mcast_us = mcast.median(0)
+        mpich_us = barrier_us("p2p-mpich", n, n)
+        dis_us = barrier_us("p2p-dissemination", n, 200 + n)
+        mcast_us = barrier_us("mcast", n, 100 + n)
         scouts, releases = paper_mcast_barrier_messages(n)
         print(f"{n:>5} | {paper_mpich_barrier_messages(n):>10} | "
               f"{f'{scouts}+{releases}mc':>10} | {mpich_us:>9.1f} | "
-              f"{dis.median(0):>9.1f} | {mcast_us:>9.1f} | "
+              f"{dis_us:>9.1f} | {mcast_us:>9.1f} | "
               f"{mpich_us / mcast_us:>6.2f}x")
     print()
     print("The multicast release frees all waiting processes with ONE")

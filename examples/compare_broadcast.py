@@ -3,15 +3,17 @@
 
 Sweeps message size 0-5 kB for MPI_Bcast with 4 processes over both the
 hub and the switch (paper Figs. 7, 8 and 11), prints the median-latency
-tables and ASCII plots, and reports the measured crossover points.
+tables, and reports the measured crossover points.
 
 Run:  python examples/compare_broadcast.py [--reps 15]
 """
 
 import argparse
+from statistics import median
 
-from repro.bench import (PAPER_SIZES, ascii_plot, crossover, measure_bcast,
-                         table)
+from repro.bench import PAPER_SIZES, crossover, measure
+
+IMPLS = ("p2p-binomial", "mcast-linear", "mcast-binary")
 
 
 def main() -> None:
@@ -22,26 +24,22 @@ def main() -> None:
     args = parser.parse_args()
 
     for topology in ("hub", "switch"):
-        series = [
-            measure_bcast("p2p-binomial", topology, args.procs,
-                          PAPER_SIZES, reps=args.reps, seed=1,
-                          label=f"mpich/{topology}"),
-            measure_bcast("mcast-linear", topology, args.procs,
-                          PAPER_SIZES, reps=args.reps, seed=2,
-                          label=f"mcast linear/{topology}"),
-            measure_bcast("mcast-binary", topology, args.procs,
-                          PAPER_SIZES, reps=args.reps, seed=3,
-                          label=f"mcast binary/{topology}"),
-        ]
-        print(table(series,
-                    title=f"MPI_Bcast, {args.procs} processes, {topology} "
-                          f"(median of {args.reps} runs, us)"))
-        print()
-        print(ascii_plot(series, title=f"{topology}: latency vs size"))
-        mpich = series[0]
-        for ser in series[1:]:
-            x = crossover(ser, mpich)
-            print(f"  {ser.label} beats mpich from "
+        curves = {}
+        for seed, impl in enumerate(IMPLS, start=1):
+            samples = measure("bcast", impl, topology, args.procs,
+                              PAPER_SIZES, args.reps, seed)
+            curves[impl] = {size: median(lats)
+                            for size, lats in samples.items()}
+        print(f"MPI_Bcast, {args.procs} processes, {topology} "
+              f"(median of {args.reps} runs, us)")
+        print(f"{'size (B)':>8} " + " ".join(f"{i:>14}" for i in IMPLS))
+        for size in PAPER_SIZES:
+            print(f"{size:>8} " + " ".join(f"{curves[i][size]:>14.1f}"
+                                           for i in IMPLS))
+        mpich = curves["p2p-binomial"]
+        for impl in IMPLS[1:]:
+            x = crossover(curves[impl], mpich)
+            print(f"  {impl}/{topology} beats mpich from "
                   f"{x if x is not None else '>5000'} bytes")
         print()
 

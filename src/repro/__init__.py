@@ -14,9 +14,9 @@ The package rebuilds the paper's whole experimental stack in Python:
 * :mod:`repro.runtime` — an mpiexec-like SPMD launcher;
 * :mod:`repro.sockets` — the same collective algorithms over *real* UDP
   multicast sockets (loopback), for functional validation;
-* :mod:`repro.bench` / :mod:`repro.analysis` — the harness that
-  regenerates every figure in the paper, and the closed-form models it is
-  checked against.
+* :mod:`repro.bench` / :mod:`repro.analysis` — the benchmark sweeps
+  that regenerate every figure in the paper (the ``paper`` area), and
+  the closed-form models they are checked against.
 
 Quickstart::
 

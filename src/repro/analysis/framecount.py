@@ -173,9 +173,9 @@ def expected_seg_repair_frames(n: int, nsegs: int, loss: float,
     ``u = 1-(1-loss)**R``), which overestimates late rounds badly —
     round 2 by ~5x at n=8, loss=0.05 — because the union is over
     per-receiver misses that each thin out as ``loss**r``;
-    ``benchmarks/bench_segmented_bcast.py::check_repair_model_band``
-    pins the tightened accuracy and ``benchmarks/bench_deep_fabric.py``
-    closes the loop on a tiered fabric.
+    the ``segmented-bcast`` sweep area's repair band pins the tightened
+    accuracy and the ``deep-fabric`` area closes the loop on a tiered
+    fabric.
 
     ``receivers`` defaults to ``n - 1`` (the broadcast case: every
     non-root posts for the data); streams with a single consuming
@@ -325,9 +325,8 @@ def _mcast_stream_trunk_frames(seg_of_rank, root: int, nsegs: int,
 def model_seg_bcast_trunk_frames(seg_of_rank, root: int, nsegs: int,
                                  paths=None) -> int:
     """Loss-free trunk serializations of the flat ``mcast-seg-nack``
-    broadcast on a tiered fabric (exact; asserted by
-    ``benchmarks/bench_fabric_scaling.py`` and
-    ``benchmarks/bench_deep_fabric.py``)."""
+    broadcast on a tiered fabric (exact; asserted by the
+    ``fabric-scaling`` and ``deep-fabric`` sweep areas)."""
     return _mcast_stream_trunk_frames(seg_of_rank, root, nsegs, paths)
 
 
@@ -406,8 +405,8 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 
     Loss-free (``loss=0``) the ``bcast`` and ``reduce`` counts are
     **exact** — every phase streams the same payload — and asserted
-    against ``NetStats.frames_trunk`` by
-    ``benchmarks/bench_deep_fabric.py``.  The ``scatter`` / ``gather``
+    against ``NetStats.frames_trunk`` by the ``deep-fabric`` sweep
+    area.  The ``scatter`` / ``gather``
     / ``allgather`` counts approximate per-phase bundle sizes by their
     member payload shares (the wire carries pickled bundle objects
     whose envelope the closed form ignores), so they are

@@ -1,19 +1,12 @@
-"""``repro.bench`` — the harness that regenerates every paper figure,
-plus the declarative sweep runner behind ``BENCH_<area>.json``."""
+"""``repro.bench`` — the declarative sweep runner behind
+``BENCH_<area>.json`` and the perf gate, including the ``paper`` area
+that reproduces the paper's figures with its §4 method (:func:`measure`)."""
 
-from .figures import (FIGURES, MCAST_BINARY, MCAST_LINEAR, MPICH,
-                      PAPER_SIZES, run_figure, sweep_markdown)
-from .harness import (Sample, Series, measure_allreduce, measure_barrier,
-                      measure_bcast, measure_reduce)
-from .report import (ascii_plot, crossover, markdown_table, series_summary,
-                     table)
-from .sweep import (diff_docs, dumps_canonical, load_areas, run_area)
+from .paper import PAPER_SIZES, crossover, measure
+from .sweep import (diff_docs, dumps_canonical, load_areas, run_area,
+                    sweep_markdown)
 
 __all__ = [
-    "FIGURES", "MCAST_BINARY", "MCAST_LINEAR", "MPICH", "PAPER_SIZES",
-    "Sample", "Series", "ascii_plot", "crossover", "diff_docs",
-    "dumps_canonical", "load_areas", "markdown_table",
-    "measure_allreduce", "measure_barrier", "measure_bcast",
-    "measure_reduce", "run_area", "run_figure", "series_summary",
-    "sweep_markdown", "table",
+    "PAPER_SIZES", "crossover", "diff_docs", "dumps_canonical",
+    "load_areas", "measure", "run_area", "sweep_markdown",
 ]

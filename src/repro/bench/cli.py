@@ -1,26 +1,21 @@
-"""Command-line entry point: ``repro-bench --figure fig7``.
+"""Command-line entry point: ``python -m repro.bench.cli <command>``.
 
-Regenerates any of the paper's figures as a latency table plus an ASCII
-plot, or dumps the frame-count table.  ``--all`` iterates everything
-(this is how EXPERIMENTS.md's measured columns were produced).
+The sweep runner, its regression gate and the docs generators::
 
-Beyond the paper's figures the registry carries this repo's extension
-sweeps — ``ablation`` (reliability schemes) and ``segcoll`` (the PR 3
-segmented reduce/allreduce vs their p2p defaults vs the payload-aware
-``"auto"`` policy).
-
-The docs generators and the sweep runner ride the same entry point::
-
+    python -m repro.bench.cli sweep paper           # the paper's figures
+    python -m repro.bench.cli sweep --check         # the bench-gate diff
+    python -m repro.bench.cli sweep segmented-bcast --scale full \
+        --results-dir build/bench-full              # the big sweep
     python -m repro.bench.cli registry-doc          # docs/collectives.md
     python -m repro.bench.cli registry-doc --check  # exit 1 if stale
-    python -m repro.bench.cli sweep segmented-bcast # BENCH_*.json + md
-    python -m repro.bench.cli sweep --check         # the bench-gate diff
     python -m repro.bench.cli bench-doc        # docs/benchmarks-index.md
     python -m repro.bench.cli profile deep-fabric \
         "trunk-hier[fabric=tree:2x2x2,op=gather]"   # cProfile one case
 
 ``sweep`` with no area names runs every registered area (see
 ``docs/BENCHMARKS.md`` for the document schema and gate tolerances).
+Only gate-scale documents are committed baselines, so a ``full`` sweep
+must name its own ``--results-dir``.
 """
 
 from __future__ import annotations
@@ -29,43 +24,7 @@ import argparse
 import pathlib
 import sys
 
-from .figures import FIGURES, run_figure
-from .report import ascii_plot, crossover, markdown_table, table
-
 __all__ = ["main"]
-
-
-def _render_figure(figure_id: str, reps: int, seed: int,
-                   markdown: bool) -> str:
-    out = []
-    if figure_id == "framecounts":
-        rows, notes = run_figure(figure_id)
-        cols = list(rows[0].keys())
-        out.append(f"== {figure_id}: {notes}")
-        out.append(" | ".join(c.rjust(18) for c in cols))
-        for row in rows:
-            out.append(" | ".join(str(row[c]).rjust(18) for c in cols))
-        return "\n".join(out)
-
-    series, notes = run_figure(figure_id, reps=reps, seed=seed)
-    out.append(f"== {figure_id} ==")
-    out.append(f"expectation: {notes}")
-    out.append("")
-    render = markdown_table if markdown else table
-    out.append(render(series, title=f"{figure_id}: median latency (us)"))
-    out.append("")
-    if not markdown:
-        out.append(ascii_plot(series, title=f"{figure_id} medians"))
-    # Crossovers of every multicast series against the first MPICH series.
-    mpich = next((s for s in series if "mpich" in s.label), None)
-    if mpich is not None:
-        for ser in series:
-            if ser is mpich or "mpich" in ser.label:
-                continue
-            x = crossover(ser, mpich)
-            out.append(f"crossover {ser.label} vs {mpich.label}: "
-                       f"{x if x is not None else 'never in range'}")
-    return "\n".join(out)
 
 
 def _registry_doc_cmd(output: str, check: bool) -> int:
@@ -111,13 +70,17 @@ def _bench_doc_cmd(output: str, check: bool) -> int:
 def _sweep_cmd(areas, scale: str, base_seed: int, workers,
                results_dir, check: bool) -> int:
     from . import sweep
-    from .figures import sweep_markdown
 
     known = sweep.load_areas()
     targets = areas or sorted(known)
     unknown = [a for a in targets if a not in known]
     if unknown:
         print(f"unknown area(s) {unknown}; known: {sorted(known)}",
+              file=sys.stderr)
+        return 2
+    if scale != "gate" and not check and not results_dir:
+        print(f"a {scale}-scale sweep needs --results-dir: "
+              f"benchmarks/results/ holds the committed gate baselines",
               file=sys.stderr)
         return 2
     results = (pathlib.Path(results_dir) if results_dir
@@ -143,7 +106,7 @@ def _sweep_cmd(areas, scale: str, base_seed: int, workers,
                 print(f"{area}: {err}", file=sys.stderr)
             stale_md = (not md_path.exists()
                         or md_path.read_text()
-                        != sweep_markdown(baseline))
+                        != sweep.sweep_markdown(baseline))
             if stale_md:
                 print(f"{area}: {md_path} does not match the committed "
                       f"baseline — regenerate with 'make "
@@ -156,7 +119,7 @@ def _sweep_cmd(areas, scale: str, base_seed: int, workers,
         else:
             results.mkdir(parents=True, exist_ok=True)
             json_path.write_text(sweep.dumps_canonical(doc))
-            md_path.write_text(sweep_markdown(doc))
+            md_path.write_text(sweep.sweep_markdown(doc))
             print(f"wrote {json_path}")
             print(f"wrote {md_path}")
     return 1 if failed else 0
@@ -286,9 +249,10 @@ def _trace_cmd(args_list, scale: str, base_seed: int, output) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Regenerate figures from 'MPI Collective Operations "
-                    "over IP Multicast' (IPPS 2000) on the simulator.")
-    parser.add_argument("command", nargs="?",
+        description="Benchmark sweeps (including the figures of 'MPI "
+                    "Collective Operations over IP Multicast', IPPS "
+                    "2000), their regression gate and generated docs.")
+    parser.add_argument("command",
                         choices=["registry-doc", "sweep", "bench-doc",
                                  "profile", "trace"],
                         help="registry-doc: (re)generate the "
@@ -306,15 +270,6 @@ def main(argv=None) -> int:
                              "registered areas); profile/trace: an area "
                              "name plus a case key like "
                              "'trunk-flat[fabric=tree:2x2x2,op=bcast]'")
-    parser.add_argument("--figure", choices=sorted(FIGURES),
-                        help="which figure/table to regenerate")
-    parser.add_argument("--all", action="store_true",
-                        help="regenerate every figure")
-    parser.add_argument("--reps", type=int, default=25,
-                        help="iterations per point (paper used 20-30)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--markdown", action="store_true",
-                        help="emit Markdown tables (for EXPERIMENTS.md)")
     parser.add_argument("--check", action="store_true",
                         help="registry-doc/bench-doc: fail if the doc "
                              "is stale instead of rewriting it; sweep: "
@@ -328,8 +283,9 @@ def main(argv=None) -> int:
                              "directory (default trace_out/<case-key>)")
     parser.add_argument("--scale", choices=["gate", "full"],
                         default="gate",
-                        help="sweep: gate = the tiny committed-baseline "
-                             "sweep; full = the big one")
+                        help="sweep: gate = the committed-baseline "
+                             "sweep; full = the big one (needs "
+                             "--results-dir unless --check)")
     parser.add_argument("--base-seed", type=int, default=1,
                         help="sweep: base seed the per-case seeds are "
                              "derived from (baselines use 1)")
@@ -356,20 +312,7 @@ def main(argv=None) -> int:
     if args.command == "profile":
         return _profile_cmd(args.areas, args.scale, args.base_seed,
                             args.sort, args.limit)
-    if args.command == "trace":
-        return _trace_cmd(args.areas, args.scale, args.base_seed,
-                          args.output)
-    if args.areas:
-        parser.error("area arguments are only valid with 'sweep'")
-    if not args.figure and not args.all:
-        parser.error("pass --figure <id>, --all, or registry-doc")
-
-    targets = sorted(FIGURES) if args.all else [args.figure]
-    for figure_id in targets:
-        print(_render_figure(figure_id, args.reps, args.seed,
-                             args.markdown))
-        print()
-    return 0
+    return _trace_cmd(args.areas, args.scale, args.base_seed, args.output)
 
 
 if __name__ == "__main__":  # pragma: no cover

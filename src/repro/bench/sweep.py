@@ -14,8 +14,9 @@ gate bands them wide (:data:`WALL_REL_TOL`) instead of exactly.
 :func:`run_area` collects every case into one canonical, versioned
 ``BENCH_<area>.json`` document (frame / trunk-frame / latency / repair
 series plus env + git metadata) and then runs the area's
-**postconditions** — the reproduction criteria that used to live as
-ad-hoc assertions in the bespoke ``benchmarks/bench_*.py`` scripts.
+**postconditions** — the reproduction criteria (the paper's claims
+among them, see :mod:`repro.bench.paper`).  :func:`sweep_markdown`
+renders a document as the tables under ``benchmarks/results/``.
 
 :func:`diff_docs` is the regression gate behind ``make bench-gate``:
 exact metrics (frame counts, retransmissions, dispatch strings) must
@@ -47,7 +48,7 @@ __all__ = [
     "AREAS", "register_area", "load_areas", "expand", "case_key",
     "case_seed", "run_area", "run_meta", "dumps_canonical",
     "find_series", "metric", "DiffReport", "diff_docs", "results_dir",
-    "baseline_path",
+    "baseline_path", "sweep_markdown",
 ]
 
 #: bump on any backwards-incompatible change to the document layout
@@ -55,7 +56,7 @@ SCHEMA = "repro.bench.sweep/v1"
 
 #: "gate" — the tiny, environment-independent sweep whose document is
 #: committed under benchmarks/results/ and re-run by `make bench-gate`;
-#: "full" — the big sweep the bespoke benchmark drivers run.
+#: "full" — the big sweep, written outside the committed baselines.
 SCALES = ("gate", "full")
 
 #: metrics whose names start with this prefix are latency samples:
@@ -119,7 +120,7 @@ def register_area(spec: AreaSpec) -> AreaSpec:
 
 def load_areas() -> dict[str, AreaSpec]:
     """The registry with the in-tree areas imported (side effect)."""
-    from . import sweep_areas  # noqa: F401  (registration side effect)
+    from . import paper, sweep_areas  # noqa: F401  (registers the areas)
 
     return AREAS
 
@@ -416,3 +417,66 @@ def diff_docs(baseline: dict, fresh: dict, rel_tol: float = REL_TOL,
                         f"{key}: {name} improved {bv} -> {fv}")
         report.matched += 1
     return report
+
+
+# ---------------------------------------------------------------------------
+# markdown rendering (benchmarks/results/<area>.md)
+# ---------------------------------------------------------------------------
+def _sweep_cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.1f}"
+    return str(value).replace("|", "\\|")
+
+
+def sweep_markdown(doc: dict) -> str:
+    """Render one sweep document (`BENCH_<area>.json`) as Markdown.
+
+    The committed tables under ``benchmarks/results/`` are generated
+    from the canonical JSON, one section per case family.  Long string
+    metrics (dispatch logs, audit trails) render as footnotes below
+    their family's table.
+    """
+    area = doc["area"]
+    lines = [
+        f"# {area}", "",
+        f"_{doc['title']}_", "",
+        f"_sweep_: schema `{doc['schema']}`, scale `{doc['scale']}`, "
+        f"base seed {doc['base_seed']}, {len(doc['series'])} cases — "
+        f"generated from `BENCH_{area}.json` by "
+        f"`python -m repro.bench.cli sweep {area}` "
+        f"(see `docs/BENCHMARKS.md`)", "",
+    ]
+    families: dict[str, list] = {}
+    for entry in doc["series"]:
+        families.setdefault(entry["family"], []).append(entry)
+    for family in sorted(families):
+        entries = families[family]
+        axes = sorted({name for e in entries for name in e["axes"]})
+        metrics = sorted({name for e in entries
+                          for name in e["metrics"]})
+        short = [m for m in metrics
+                 if not any(isinstance(e["metrics"].get(m), str)
+                            and len(e["metrics"][m]) > 60
+                            for e in entries)]
+        long = [m for m in metrics if m not in short]
+        lines.append(f"## {family}")
+        lines.append("")
+        header = axes + short
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "|".join(
+            "---" if h in axes else "---:" for h in header) + "|")
+        for entry in entries:
+            cells = [_sweep_cell(entry["axes"].get(a, "—"))
+                     for a in axes]
+            cells += [_sweep_cell(entry["metrics"][m])
+                      if m in entry["metrics"] else "—"
+                      for m in short]
+            lines.append("| " + " | ".join(cells) + " |")
+        lines.append("")
+        for m in long:
+            for entry in entries:
+                if m in entry["metrics"]:
+                    lines.append(f"* **{entry['key']}** `{m}`: "
+                                 f"{entry['metrics'][m]}")
+            lines.append("")
+    return "\n".join(lines)

@@ -1,26 +1,25 @@
-"""The in-tree sweep areas — the bespoke benchmark scripts re-ported
-onto :mod:`repro.bench.sweep`.
+"""This repo's extension sweep areas on :mod:`repro.bench.sweep`.
 
-Five areas — one per former bespoke script, plus the simulator's own
+Five areas — four on the simulated network, plus the simulator's own
 speed:
 
-* ``segmented-bcast`` (was ``benchmarks/bench_segmented_bcast.py``):
+* ``segmented-bcast``:
   frame counts of the segmented NACK-repair broadcast vs the PVM-style
   ``mcast-ack`` baseline under induced loss, the seeded-loss repair
   closed loop, and the latency sweep incl. the ``"auto"`` policy;
-* ``fabric-scaling`` (was ``bench_fabric_scaling.py``): per-call trunk
+* ``fabric-scaling``: per-call trunk
   serializations of flat vs hierarchical broadcast on a two-tier
   ``tree:2x4`` fabric, the auto policy's model-consistency audit, and
   the latency sweep;
-* ``deep-fabric`` (was ``bench_deep_fabric.py``): exact trunk models
+* ``deep-fabric``: exact trunk models
   for flat and hierarchical collectives on three-tier and
   heterogeneous trees, hierarchy trunk wins, auto dispatch, and the
   loss-model closed loop;
-* ``segmented-reduce`` (was ``bench_segmented_reduce.py``): payload
+* ``segmented-reduce``: payload
   frames of the turn-based segmented reduce/allreduce vs the MPICH
   binomial trees, selective segment repair under induced loss, and
   the ``"auto"`` never-worse postcondition over frames and latency;
-* ``sim-throughput`` (new with the speed overhaul): wall-clock and
+* ``sim-throughput``: wall-clock and
   events/sec of a 1024-host broadcast plus the deep-fabric gate sweep
   with the analytic fluid backend on vs off.  Event/clock metrics are
   exact; ``wall*``/``rate*`` metrics are banded wide in
@@ -32,20 +31,21 @@ coverage ledger marks exact, :mod:`repro.analysis.fluid` answers it
 analytically instead of simulating (``REPRO_FLUID=0`` forces the DES;
 ``tests/test_fluid.py`` proves both paths emit identical documents).
 
-Every reproduction criterion the scripts used to ``assert`` inline is
-now either an in-runner assertion (correctness of the collective's
-result) or an area **postcondition** over the collected document — so
-``run_area(..., check=True)`` fails exactly where the old scripts did.
+Every reproduction criterion is either an in-runner assertion
+(correctness of the collective's result) or an area **postcondition**
+over the collected document, checked by ``run_area(..., check=True)``.
 
 Two scales per area: ``"gate"`` is tiny and **environment-independent**
 (its documents are committed under ``benchmarks/results/`` and re-run
-by ``make bench-gate``); ``"full"`` is the big sweep and may read
-``REPRO_BENCH_REPS``.
+by ``make bench-gate``); ``"full"`` is the big sweep, with fixed rep
+counts.  The paper's own figures are the ``paper`` area
+(:mod:`repro.bench.paper`).
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -64,7 +64,7 @@ from ..mpi.ops import SUM
 from ..runtime import run_spmd
 from ..simnet import quiet
 from ..simnet.calibration import FAST_ETHERNET_SWITCH
-from .harness import measure_bcast
+from .paper import measure
 from .sweep import AreaSpec, Family, find_series, metric, register_area
 
 FIXED = FAST_ETHERNET_SWITCH
@@ -78,11 +78,6 @@ def _fluid_enabled() -> bool:
     default; ``REPRO_FLUID=0`` forces every case to simulate (used by
     the parity tests to prove both paths produce the same document)."""
     return os.environ.get("REPRO_FLUID", "1") != "0"
-
-
-def _env_reps(default: int) -> int:
-    """Full-scale rep count (gate scales never read the environment)."""
-    return int(os.environ.get("REPRO_BENCH_REPS", str(default)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +152,7 @@ def _seg_sizes(scale: str) -> tuple:
 
 
 def _seg_reps(scale: str) -> int:
-    return 3 if scale == "gate" else _env_reps(20)
+    return 3 if scale == "gate" else 20
 
 
 def _seg_loss_unit(impl: str, plan: str):
@@ -246,13 +241,11 @@ def seg_latency_case(scale, seed, variant, size):
     variants = (_SEG_VARIANTS if scale == "gate" else _SEG_VARIANTS_FULL)
     impl, params, lossy = variants[variant]
     setup = (_lossy_setup(_seg_loss_unit(impl, "any")) if lossy else None)
-    series = measure_bcast(
-        impl, "switch", SEG_NPROCS, [size], reps=_seg_reps(scale),
-        seed=seed, params=params, window_us=SEG_WINDOW_US, setup=setup,
-        label=variant)
-    lo, hi = series.spread(size)
-    return {"latency_us_median": series.median(size),
-            "latency_us_min": lo, "latency_us_max": hi}
+    lats = measure("bcast", impl, "switch", SEG_NPROCS, [size],
+                   _seg_reps(scale), seed, params=params, setup=setup,
+                   window_us=SEG_WINDOW_US)[size]
+    return {"latency_us_median": statistics.median(lats),
+            "latency_us_min": min(lats), "latency_us_max": max(lats)}
 
 
 def _seg_families(scale):
@@ -400,7 +393,7 @@ def _fab_sizes(scale: str) -> tuple:
 
 
 def _fab_reps(scale: str) -> int:
-    return 2 if scale == "gate" else max(5, _env_reps(20) // 4)
+    return 2 if scale == "gate" else 5
 
 
 def _bcast_trunk(topology, nprocs, impl, size, n_ops, seed):
@@ -442,8 +435,6 @@ def fab_trunk_case(scale, seed, engine, size):
 def fab_latency_case(scale, seed, impl, size):
     """Median over reps of the slowest rank's bcast duration (jittered
     platform, barrier-fenced reps)."""
-    import statistics
-
     reps = _fab_reps(scale)
 
     def main(env):
@@ -863,13 +854,12 @@ def _segred_sizes(scale: str) -> tuple:
 
 
 def _segred_reps(scale: str) -> int:
-    return 2 if scale == "gate" else max(8, _env_reps(20) // 2)
+    return 2 if scale == "gate" else 10
 
 
 def _segred_drop_unit(want=None):
     """First-copy unit of each ``mcast-seg`` datagram whose leading
-    segment index satisfies ``want`` (default all) — the induced-loss
-    policy of the old ``bench_segmented_reduce.py``."""
+    segment index satisfies ``want`` (default all)."""
     def unit_of(dgram):
         if dgram.kind != "mcast-seg":
             return None
@@ -1007,8 +997,6 @@ def segred_auto_case(scale, seed, op, size):
 def segred_latency_case(scale, seed, op, size):
     """Median latencies of the p2p default, the segmented engine and
     "auto" under the jittered platform (barrier-fenced reps)."""
-    import statistics
-
     reps = _segred_reps(scale)
     out = {}
     for role, impl in (("p2p", _SEGRED_IMPLS[op]["p2p"]),

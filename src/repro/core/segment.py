@@ -64,7 +64,7 @@ policy re-batch from the *actual* missing set
 (:func:`~repro.core.rounds.repair_batch`), so scattered losses pack into
 one repair datagram.
 
-**Frame-count formula** (asserted by ``benchmarks/bench_segmented_bcast.py``
+**Frame-count formula** (asserted by the ``segmented-bcast`` sweep area
 and ``tests/test_segment.py``).  For N ranks, S segments, R repair rounds
 re-sending unions U_1..U_R (U_0 = all S segments)::
 

@@ -149,7 +149,7 @@ class NetParams:
     #: (:func:`repro.analysis.framecount.expected_seg_repair_frames`) —
     #: on a lossy platform the selection crossover shifts toward the
     #: p2p trees and the hierarchical variants whose repairs stay off
-    #: the trunks; ``benchmarks/bench_deep_fabric.py`` closes the loop
+    #: the trunks; the ``deep-fabric`` sweep area closes the loop
     #: between this prediction and the measured repair traffic.
     loss: float = 0.0
 

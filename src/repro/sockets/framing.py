@@ -9,10 +9,17 @@ is ``(magic, kind, ctx, src_rank, tag_or_seq)``:
 * ``ctx``    — communicator context (like the simulator's context ids);
 * ``src``    — sender rank;
 * ``tag``    — MPI tag for p2p, collective sequence number otherwise.
+
+Received bodies are unpickled by :class:`_BuiltinUnpickler`, which
+refuses every global lookup: builtin payloads (dict, list, tuple, str,
+bytes, int, float, None, set) need none, while a datagram whose pickle
+names a class or callable — the way a ``__reduce__`` payload runs code
+on the receiver — is rejected like any other foreign traffic.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 from dataclasses import dataclass
@@ -57,6 +64,14 @@ def pack(msg: Message) -> bytes:
     return raw
 
 
+class _BuiltinUnpickler(pickle.Unpickler):
+    """Unpickler that loads builtin values only: no global lookups."""
+
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(
+            f"global {module}.{name} refused in a received datagram")
+
+
 def unpack(raw: bytes) -> Message:
     """Parse a datagram; raises ValueError for foreign traffic."""
     if len(raw) < HEADER.size:
@@ -66,5 +81,11 @@ def unpack(raw: bytes) -> Message:
         raise ValueError(f"bad magic {magic:#x}")
     if kind not in Kind.ALL:
         raise ValueError(f"unknown message kind {kind}")
-    payload = pickle.loads(raw[HEADER.size:])
+    try:
+        payload = _BuiltinUnpickler(io.BytesIO(raw[HEADER.size:])).load()
+    except Exception as exc:
+        # Truncated, garbage or refused body from the network: pickle
+        # documents no closed set of errors for malformed input, and
+        # callers drop foreign traffic by catching ValueError.
+        raise ValueError(f"undecodable payload: {exc}") from exc
     return Message(kind=kind, ctx=ctx, src=src, tag=tag, payload=payload)

@@ -9,12 +9,22 @@ no undrained events.  See :mod:`repro.runtime.sanitize`.
 
 Without the variable the fixture only drains the (empty) registry, so
 plain ``pytest`` runs are unaffected.
+
+The ``slow`` (longer example runs) and ``realnet`` (real UDP sockets
+on loopback) marks are registered here so selecting or deselecting
+them (``-m "not realnet"``) needs no extra configuration.
 """
 
 import pytest
 
 from repro.runtime.sanitize import (drain_pending, full_teardown,
                                     sanitize_enabled)
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a longer-running test")
+    config.addinivalue_line(
+        "markers", "realnet: uses real UDP sockets and loopback multicast")
 
 
 @pytest.fixture(autouse=True)

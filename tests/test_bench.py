@@ -1,135 +1,101 @@
-"""Benchmark harness and reporting tests (small sweeps, fast)."""
+"""The §4 measurement method (`measure`), the crossover helper, and the
+``paper`` sweep area that reproduces the paper's figures."""
+
+import statistics
 
 import pytest
 
-from repro.bench import (FIGURES, Sample, Series, ascii_plot, crossover,
-                         markdown_table, measure_barrier, measure_bcast,
-                         run_figure, series_summary, table)
+from repro.bench import PAPER_SIZES, crossover, measure, run_area
+from repro.bench.paper import framecount_case
+from repro.bench.sweep import load_areas, sweep_markdown
 
 SIZES = [0, 2000]
 
 
-def small_series():
-    ser = Series(label="demo", impl="x", topology="hub", nprocs=4)
-    for size, lat in [(0, 100.0), (0, 120.0), (0, 110.0),
-                      (1000, 300.0), (1000, 310.0)]:
-        ser.samples.append(Sample(size=size, iteration=0, latency_us=lat))
-    return ser
-
-
-def test_series_median_and_spread():
-    ser = small_series()
-    assert ser.median(0) == 110.0
-    assert ser.spread(0) == (100.0, 120.0)
-    assert ser.sizes == [0, 1000]
-    assert ser.medians() == {0: 110.0, 1000: 305.0}
-
-
-def test_series_missing_size_raises():
-    with pytest.raises(KeyError):
-        small_series().median(999)
-
-
 def test_measure_bcast_produces_full_grid():
-    ser = measure_bcast("p2p-binomial", "switch", 3, SIZES, reps=4,
-                        seed=5)
-    assert ser.sizes == SIZES
+    samples = measure("bcast", "p2p-binomial", "switch", 3, SIZES, 4, 5)
+    assert list(samples) == SIZES
     for size in SIZES:
-        assert len(ser.latencies(size)) == 4
-        assert all(lat > 0 for lat in ser.latencies(size))
+        assert len(samples[size]) == 4
+        assert all(lat > 0 for lat in samples[size])
 
 
 def test_measure_bcast_reproducible():
-    a = measure_bcast("mcast-binary", "hub", 3, SIZES, reps=3, seed=7)
-    b = measure_bcast("mcast-binary", "hub", 3, SIZES, reps=3, seed=7)
-    assert a.medians() == b.medians()
+    a = measure("bcast", "mcast-binary", "hub", 3, SIZES, 3, 7)
+    b = measure("bcast", "mcast-binary", "hub", 3, SIZES, 3, 7)
+    assert a == b
+    assert a != measure("bcast", "mcast-binary", "hub", 3, SIZES, 3, 8)
 
 
 def test_measure_barrier():
-    ser = measure_barrier("mcast", "hub", 4, reps=5, seed=2)
-    assert ser.sizes == [0]
-    assert len(ser.latencies(0)) == 5
+    samples = measure("barrier", "mcast", "hub", 4, [0], 5, 2)
+    assert list(samples) == [0]
+    assert len(samples[0]) == 5 and min(samples[0]) > 0
+
+
+@pytest.mark.parametrize("op, impl", [("reduce", "p2p-binomial"),
+                                      ("allreduce", "p2p-reduce-bcast")])
+def test_measure_reductions(op, impl):
+    samples = measure(op, impl, "switch", 4, [8, 800], 2, 3)
+    assert all(len(lats) == 2 and min(lats) > 0
+               for lats in samples.values())
+
+
+def test_measure_rejects_unknown_op():
+    with pytest.raises(ValueError, match="unsupported op"):
+        measure("scan", "p2p-linear", "switch", 2, [0], 1, 1)
 
 
 def test_crossover_finder():
-    fast = Series(label="fast", impl="f", topology="hub", nprocs=2)
-    slow = Series(label="slow", impl="s", topology="hub", nprocs=2)
-    for size in (0, 100, 200):
-        # fast is worse at 0, better from 100 up
-        fast.samples.append(Sample(size, 0, 50.0 + size * 0.1))
-        slow.samples.append(Sample(size, 0, 40.0 + size * 0.3))
-    assert crossover(fast, slow) == 100
+    fast = {size: 50.0 + size * 0.1 for size in (0, 100, 200)}
+    slow = {size: 40.0 + size * 0.3 for size in (0, 100, 200)}
+    assert crossover(fast, slow) == 100    # worse at 0, better from 100
     assert crossover(slow, fast) == 0
 
 
 def test_crossover_never():
-    a, b = small_series(), small_series()
-    assert crossover(a, b) is None   # identical medians: never strictly <
+    same = {0: 1.0, 100: 2.0}
+    assert crossover(same, dict(same)) is None   # never strictly lower
 
 
-def test_table_renders_all_series():
-    ser = small_series()
-    out = table([ser], title="demo table")
-    assert "demo table" in out
-    assert "1000" in out and "305" in out
-
-
-def test_markdown_table():
-    out = markdown_table([small_series()], title="t")
-    assert out.count("|") > 6
-    assert "305" in out
-
-
-def test_ascii_plot_smoke():
-    out = ascii_plot([small_series()], width=40, height=8, title="p")
-    assert "p" in out and "demo" in out
-
-
-def test_series_summary():
-    s = series_summary(small_series())
-    assert s["overall_min"] == 100.0
-    assert s["overall_max"] == 310.0
-    assert s["sizes"] == [0, 1000]
-
-
-def test_run_figure_unknown_id():
-    with pytest.raises(KeyError, match="unknown figure"):
-        run_figure("fig99")
+def test_fig7_smoke_tiny():
+    mpich = measure("bcast", "p2p-binomial", "hub", 4, [0, 4000], 3, 1)
+    binary = measure("bcast", "mcast-binary", "hub", 4, [0, 4000], 3, 2)
+    # even a tiny run shows the large-message multicast win
+    assert statistics.median(binary[4000]) < statistics.median(mpich[4000])
 
 
 def test_figure_registry_complete():
+    families = {f.name for f in load_areas()["paper"].families("gate")}
     assert {"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-            "framecounts", "ablation"} <= set(FIGURES)
-
-
-@pytest.mark.slow
-def test_fig7_smoke_tiny():
-    series, notes = run_figure("fig7", reps=3, sizes=[0, 4000])
-    assert len(series) == 3
-    assert "multicast" in notes
-    mpich, linear, binary = series
-    # even a tiny run shows the large-message multicast win
-    assert binary.median(4000) < mpich.median(4000)
+            "framecounts", "ablation-reliability", "ablation-overrun",
+            "via"} <= families
 
 
 def test_framecounts_figure_rows():
-    rows, _ = run_figure("framecounts", nmax=6)
-    # Multicast saves frames exactly when (f-1)(N-2) >= 1, i.e. for any
-    # multi-frame message once there are at least 3 processes.
-    for r in rows:
-        if r["n"] >= 3 and r["m"] >= 1500:
-            assert r["paper_mcast_bcast"] <= r["paper_mpich_bcast"], r
-        if r["n"] == 2:
-            # two processes: multicast pays a scout for nothing
-            assert r["paper_mcast_bcast"] >= r["paper_mpich_bcast"], r
+    row = framecount_case("gate", 1, n=4, m=3000)
+    assert row["sim_mpich_bcast"] == row["model_mpich_bcast"]
+    assert row["sim_mcast_scouts"] == row["model_mcast_scouts"] == 3
+    assert row["sim_mcast_data"] == row["model_mcast_data"]
+    assert row["paper_mcast_bcast"] <= row["paper_mpich_bcast"]
 
 
-def test_cli_framecounts(capsys):
-    from repro.bench.cli import main
+def test_paper_area_holds_every_claim():
+    doc = run_area("paper", workers=2, check=True)
+    fig7 = [e for e in doc["series"] if e["family"] == "fig7"]
+    assert len(fig7) == 3
+    assert all(len(e["metrics"]) == len(PAPER_SIZES) for e in fig7)
 
-    assert main(["--figure", "framecounts"]) == 0
-    out = capsys.readouterr().out
-    assert "paper_mpich_bcast" in out
+
+def test_markdown_table():
+    doc = {"area": "demo", "title": "t", "schema": "s", "scale": "gate",
+           "base_seed": 1,
+           "series": [{"key": "fig[impl=a]", "family": "fig",
+                       "axes": {"impl": "a"},
+                       "metrics": {"latency_us_0000": 305.04}}]}
+    out = sweep_markdown(doc)
+    assert "| impl | latency_us_0000 |" in out
+    assert "| a | 305.0 |" in out
 
 
 def test_cli_requires_target():

@@ -1,8 +1,10 @@
 """Dissemination barrier: correctness and comparison to the alternatives."""
 
+from statistics import median
+
 import pytest
 
-from repro.bench import measure_barrier
+from repro.bench import measure
 from repro.mpi.collective.barrier_p2p import dissemination_message_count
 from repro.runtime import run_spmd
 from repro.simnet import quiet
@@ -50,11 +52,14 @@ def test_multicast_still_beats_best_p2p_barrier():
     barrier is the stronger p2p opponent (fewer critical-path rounds for
     non-powers-of-two).  The multicast barrier still wins at 9 procs on
     the hub — its release is ONE frame."""
-    dis = measure_barrier("p2p-dissemination", "hub", 9, reps=10, seed=3)
-    mpich = measure_barrier("p2p-mpich", "hub", 9, reps=10, seed=4)
-    mcast = measure_barrier("mcast", "hub", 9, reps=10, seed=5)
+    def barrier_us(impl, seed):
+        return median(measure("barrier", impl, "hub", 9, [0], 10, seed)[0])
+
+    dis = barrier_us("p2p-dissemination", 3)
+    mpich = barrier_us("p2p-mpich", 4)
+    mcast = barrier_us("mcast", 5)
     # dissemination beats the three-phase barrier at non-power-of-two N
-    assert dis.median(0) < mpich.median(0) * 1.1
+    assert dis < mpich * 1.1
     # and multicast beats both
-    assert mcast.median(0) < dis.median(0)
-    assert mcast.median(0) < mpich.median(0)
+    assert mcast < dis
+    assert mcast < mpich

@@ -1,17 +1,26 @@
-"""Real-socket backend tests (skipped where loopback multicast is off)."""
+"""Real-socket backend tests (skipped where loopback multicast is off).
 
+The framing tests touch no socket; every other test is marked
+``realnet``."""
+
+import os
+import pickle
 import time
 
 import pytest
 
 from repro.sockets import (Kind, Message, multicast_available, pack,
                            run_threads, unpack)
-
-pytestmark = pytest.mark.realnet
+from repro.sockets.framing import HEADER, MAGIC
 
 HAVE_MCAST = multicast_available()
-needs_mcast = pytest.mark.skipif(
-    not HAVE_MCAST, reason="UDP multicast on loopback unavailable")
+
+
+def needs_mcast(test):
+    """Mark a test ``realnet``; skip it without loopback multicast."""
+    test = pytest.mark.skipif(
+        not HAVE_MCAST, reason="UDP multicast on loopback unavailable")(test)
+    return pytest.mark.realnet(test)
 
 
 # ---------------------------------------------------------------- framing
@@ -26,6 +35,49 @@ def test_framing_rejects_garbage():
         unpack(b"\x00\x01")
     with pytest.raises(ValueError):
         unpack(b"\xff" * 32)
+
+
+def _datagram(body: bytes) -> bytes:
+    return HEADER.pack(MAGIC, Kind.P2P, 0, 1, 7) + body
+
+
+class _RunsCode:
+    """A payload whose unpickling would call ``os.system``."""
+
+    def __reduce__(self):
+        return (os.system, ("exit 3",))
+
+
+def test_framing_refuses_code_in_payload(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "system", calls.append)
+    raw = _datagram(pickle.dumps(_RunsCode()))
+    with pytest.raises(ValueError, match="refused"):
+        unpack(raw)
+    assert calls == []
+
+
+def test_framing_refuses_any_global():
+    raw = _datagram(pickle.dumps(Message(Kind.P2P, 0, 0, 0, None)))
+    with pytest.raises(ValueError, match="refused"):
+        unpack(raw)
+
+
+@pytest.mark.parametrize("body", [
+    pickle.dumps({"a": [1, 2, 3]})[:-3],        # truncated
+    b"\x80\x05garbage",                         # not a pickle
+    b"",                                         # header only
+], ids=["truncated", "not-a-pickle", "empty"])
+def test_framing_truncated_or_garbage_body_is_value_error(body):
+    with pytest.raises(ValueError, match="undecodable"):
+        unpack(_datagram(body))
+
+
+def test_framing_roundtrips_builtin_payloads():
+    payload = {"s": "x", "b": b"\x00\x01", "i": -3, "f": 1.5, "n": None,
+               "l": [1, (2, 3)], "set": {4, 5}}
+    msg = Message(kind=Kind.MDATA, ctx=1, src=0, tag=2, payload=payload)
+    assert unpack(pack(msg)) == msg
 
 
 def test_framing_rejects_oversize():

@@ -401,3 +401,13 @@ def test_cli_sweep_unknown_area_exits_2(capsys):
 def test_cli_stray_positional_rejected():
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+def test_cli_full_scale_sweep_needs_results_dir(capsys):
+    # A full-scale write into benchmarks/results/ would replace the
+    # committed gate baseline that `make bench-gate` diffs against.
+    path = baseline_path("segmented-bcast")
+    before = path.read_bytes()
+    assert main(["sweep", "segmented-bcast", "--scale", "full"]) == 2
+    assert "--results-dir" in capsys.readouterr().err
+    assert path.read_bytes() == before
