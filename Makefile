@@ -60,8 +60,13 @@ bench-gate:
 	$(PY) -m repro.bench.cli sweep --check
 
 # Intentionally refresh the committed baselines (BENCH_*.json + the
-# rendered markdown + the generated benchmarks index).
+# rendered markdown + the generated benchmarks index).  Refuses to run
+# while src/ has uncommitted changes: a baseline must name the commit
+# whose code produced it.
 bench-baselines:
+	@git diff --quiet HEAD -- src || { echo "bench-baselines: src/ has \
+	uncommitted changes; commit them first so the baselines record the \
+	code that produced them" >&2; exit 1; }
 	$(PY) -m repro.bench.cli sweep
 	$(PY) -m repro.bench.cli bench-doc
 

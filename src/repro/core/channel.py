@@ -69,47 +69,34 @@ def _members_trunk_path(comm) -> tuple[int, float]:
     backbone under fast edges stretches the drain timeout exactly as
     much as it stretches the store-and-forward path — sizing it from
     the edge rate alone would re-create the premature-NACK livelock on
-    any fabric whose trunks are slower than its access links.
-    ``(0, 0.0)`` when the view cannot reach a cluster topology (the
-    real-socket validation stack) or on flat builds.
+    any fabric whose trunks are slower than its access links.  The
+    cluster memoizes the answer per member tuple
+    (:meth:`~repro.simnet.topology.Cluster.trunk_diameter`), so every
+    rank after the first reads it back.  ``(0, 0.0)`` when the view
+    cannot reach a cluster topology (the real-socket validation stack)
+    or on flat builds.
     """
     world = getattr(comm, "world", None)
     if world is None:
         world = getattr(getattr(comm, "parent", None), "world", None)
     cluster = getattr(world, "cluster", None)
-    fabric = getattr(cluster, "fabric", None)
-    if fabric is None:
+    if cluster is None:
         return 0, 0.0
-    # the path depends only on the endpoints' segments: one
-    # representative host per distinct segment, unordered pairs
-    reps: dict[int, int] = {}
-    for r in range(comm.size):
-        addr = comm.addr_of(r)
-        reps.setdefault(cluster.segment_of(addr), addr)
-    addrs = list(reps.values())
-    hops = 0
-    us_per_byte = 0.0
-    for i, a in enumerate(addrs):
-        for b in addrs[i + 1:]:
-            tiers = fabric.trunk_path_tiers(a, b)
-            hops = max(hops, len(tiers))
-            us_per_byte = max(us_per_byte, sum(
-                8.0 / fabric.trunk_params_for(t).rate_mbps
-                for t in tiers))
-    return hops, us_per_byte
+    return cluster.trunk_diameter(comm.ranks)
 
 
 class McastChannel:
     """Multicast transport for one communicator, on one rank.
 
     ``comm`` may be a full :class:`~repro.mpi.communicator.Communicator`
-    or any *communicator view* exposing ``rank`` / ``size`` /
-    ``addr_of`` / ``host`` / ``sim`` (the hierarchical collectives bind
-    channels to segment-local views, see
-    :mod:`repro.mpi.collective.hier`).  The default group address and
-    ports derive from ``comm.ctx``; explicit ``group`` / ``data_port`` /
-    ``scout_port`` override them for channels that subdivide one
-    communicator (per-segment groups, the leaders' group).
+    or any *communicator view* exposing ``rank`` / ``size`` / ``ranks``
+    (the member host addresses, a tuple) / ``addr_of`` / ``host`` /
+    ``sim`` (the hierarchical collectives bind channels to
+    segment-local views, see :mod:`repro.mpi.collective.hier`).  The
+    default group address and ports derive from ``comm.ctx``; explicit
+    ``group`` / ``data_port`` / ``scout_port`` override them for
+    channels that subdivide one communicator (per-segment groups, the
+    leaders' group).
     """
 
     def __init__(self, comm, group: Optional[int] = None,

@@ -273,10 +273,10 @@ def bcast_mcast_seg_nack(comm, obj: Any, root: int = 0) -> Generator:
     seq = channel.next_seq()
     if comm.size == 1:
         return obj
-    receivers = {r for r in range(comm.size) if r != root}
     arm_phase, rnd_token = round_namespace()
 
     if comm.rank == root:
+        receivers = {r for r in range(comm.size) if r != root}
         tplan = plan_transport(payload_bytes(obj), params)
         segments = fragment(obj, tplan.segment_bytes)
         yield from scout_gather_binary(comm, channel, seq, root,

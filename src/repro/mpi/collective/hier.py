@@ -89,10 +89,10 @@ from .tags import TAG_HIER
 __all__ = ["SegmentComm", "HierState", "HierNode", "HierPhase",
            "build_hier_tree", "canonical_order", "tree_internal_nodes",
            "group_members", "bcast_phases", "up_phases",
-           "scatter_phases", "allgather_phases", "layout_from_segments",
-           "segment_layout", "hier_state", "hier_ready", "bcast_hier",
-           "reduce_hier", "allreduce_hier", "barrier_hier",
-           "scatter_hier", "gather_hier", "allgather_hier",
+           "scatter_phases", "allgather_phases", "SegmentLayout",
+           "layout_from_segments", "segment_layout", "hier_state",
+           "hier_ready", "bcast_hier", "reduce_hier", "allreduce_hier",
+           "barrier_hier", "scatter_hier", "gather_hier", "allgather_hier",
            "HIER_GROUP_BASE", "HIER_PORT_BASE", "MAX_HIER_SEGMENTS"]
 
 #: group-id space for hierarchical sub-channels, above the
@@ -121,17 +121,18 @@ class SegmentComm:
     groups never cross-match.
     """
 
-    def __init__(self, comm, members: list[int], group: int,
+    def __init__(self, comm, members, group: int,
                  data_port: int, scout_port: int):
         from ...core.channel import McastChannel  # avoid import cycle
 
-        if members != sorted(members):
+        members = tuple(members)
+        if list(members) != sorted(members):
             raise ValueError(f"segment members must be sorted, got "
-                             f"{members}")
+                             f"{list(members)}")
         self.parent = comm
-        self.members = list(members)
-        self.rank = self.members.index(comm.rank)
-        self.ranks = [comm.addr_of(r) for r in self.members]
+        self.members = members
+        self.rank = members.index(comm.rank)
+        self.ranks = tuple(comm.addr_of(r) for r in members)
         self.host = comm.host
         self.sim = comm.sim
         self.mcast = McastChannel(self, group=group, data_port=data_port,
@@ -414,41 +415,61 @@ def _tree_leaves(tree: HierNode) -> list[HierNode]:
     return leaves
 
 
-def layout_from_segments(raw, paths=None):
-    """Pure core of :func:`segment_layout`: from a per-rank segment-id
-    list (and optionally the segments' switch-tree paths), compute
-    ``(seg_of_rank, members, leaders, contiguous)`` with dense segment
-    indices, ascending member lists, min-rank leaders, and the
-    contiguous flag (true iff the hierarchy's recursive leader-ordered
-    fold preserves MPI's canonical operand order)."""
-    size = len(raw)
-    segs = sorted(set(raw))
-    seg_of_rank = tuple(segs.index(s) for s in raw)
-    members = [[r for r in range(size) if seg_of_rank[r] == k]
-               for k in range(len(segs))]
-    leaders = [m[0] for m in members]
+@dataclass(frozen=True, eq=False)
+class SegmentLayout:
+    """The rank-invariant hierarchy of one member set (immutable, so
+    every rank holding the communicator shares one instance)."""
+
+    seg_of_rank: tuple    #: dense segment index of every rank
+    members: tuple        #: member ranks per dense segment, ascending
+    leaders: tuple        #: leader (smallest member rank) per segment
+    #: the recursive leader-ordered fold preserves MPI's canonical
+    #: operand order (see the module docstring)
+    contiguous: bool
+    paths: Optional[tuple]   #: switch-tree path per dense segment
+    tree: HierNode        #: :func:`build_hier_tree` of the above
+
+
+def layout_from_segments(raw, paths=None) -> SegmentLayout:
+    """Pure core of :func:`segment_layout`: the :class:`SegmentLayout`
+    of a per-rank segment-id list (and optionally the dense segments'
+    switch-tree paths) — dense segment indices, ascending member
+    tuples, min-rank leaders, the hierarchy tree and its contiguous
+    flag."""
+    dense = {s: k for k, s in enumerate(sorted(set(raw)))}
+    seg_of_rank = tuple(dense[s] for s in raw)
+    members: list[list[int]] = [[] for _ in dense]
+    for rank, k in enumerate(seg_of_rank):
+        members[k].append(rank)
     tree = build_hier_tree(seg_of_rank, paths)
-    contiguous = canonical_order(tree) == list(range(size))
-    return seg_of_rank, members, leaders, contiguous
+    contiguous = canonical_order(tree) == list(range(len(raw)))
+    return SegmentLayout(seg_of_rank, tuple(map(tuple, members)),
+                         tuple(m[0] for m in members), contiguous,
+                         paths, tree)
 
 
-def segment_layout(comm):
+def segment_layout(comm) -> SegmentLayout:
     """The rank-invariant hierarchy of one communicator, from the
-    cluster's discovery API: the :func:`layout_from_segments` tuple
-    plus the dense segments' switch-tree paths.
+    cluster's discovery API.
 
-    Single source of truth shared by :class:`HierState` (the execution
-    side) and the auto policy's
-    :func:`~repro.mpi.collective.policy.comm_topology` (the modelling
-    side) — the policy's hier-withholding gate and the reduce's
-    fallback condition must agree bit-for-bit or auto would select an
-    implementation whose model assumes the other path.
+    Computed once per distinct member-address tuple and memoized on
+    the world (``MpiWorld.layouts``): the layout depends only on the
+    fabric and the member set, so every rank holding the communicator
+    reads back the same immutable object.  Single source of truth
+    shared by :class:`HierState` (the execution side) and the auto
+    policy's :func:`~repro.mpi.collective.policy.comm_topology` (the
+    modelling side) — the policy's hier-withholding gate and the
+    reduce's fallback condition must agree bit-for-bit or auto would
+    select an implementation whose model assumes the other path.
     """
-    cluster = comm.world.cluster
-    raw = [cluster.segment_of(comm.addr_of(r)) for r in range(comm.size)]
-    segs = sorted(set(raw))
-    paths = tuple(cluster.segment_path(s) for s in segs)
-    return (*layout_from_segments(raw, paths), paths)
+    layouts = comm.world.layouts
+    layout = layouts.get(comm.ranks)
+    if layout is None:
+        cluster = comm.world.cluster
+        raw = [cluster.segment_of(addr) for addr in comm.ranks]
+        paths = tuple(cluster.segment_path(s) for s in sorted(set(raw)))
+        layout = layouts[comm.ranks] = layout_from_segments(raw, paths)
+    return layout
 
 
 class HierState:
@@ -466,15 +487,15 @@ class HierState:
 
         layout = segment_layout(comm)
         #: dense segment index of every communicator rank
-        self.seg_of_rank = list(layout[0])
+        self.seg_of_rank = layout.seg_of_rank
         #: member ranks per dense segment, ascending
-        self.members = layout[1]
+        self.members = layout.members
         #: leader (smallest member rank) per dense segment
-        self.leaders = layout[2]
+        self.leaders = layout.leaders
         #: contiguous rank blocks — hierarchical folding is canonical
-        self.contiguous = layout[3]
+        self.contiguous = layout.contiguous
         #: switch-tree path per dense segment
-        self.paths = layout[4]
+        self.paths = layout.paths
         self.nsegments = len(self.members)
         if self.nsegments > MAX_HIER_SEGMENTS:
             raise ValueError(
@@ -483,8 +504,9 @@ class HierState:
         self.my_seg = self.seg_of_rank[comm.rank]
         self.is_leader = comm.rank == self.leaders[self.my_seg]
         #: the collapsed hierarchy (leaves = occupied segments,
-        #: internal nodes = leader groups; see :func:`build_hier_tree`)
-        self.tree = build_hier_tree(self.seg_of_rank, self.paths)
+        #: internal nodes = leader groups; see :func:`build_hier_tree`),
+        #: shared with every other rank through the layout
+        self.tree = layout.tree
 
         #: whether the one-time post-creation p2p barrier has run (see
         #: :func:`hier_ready`); trivially true with no sub-channels
@@ -509,7 +531,7 @@ class HierState:
 
             def make(key, members) -> SegmentComm:
                 gi = index[key]
-                return SegmentComm(comm, list(members),
+                return SegmentComm(comm, members,
                                    group=mcast_mac(group_base + gi),
                                    data_port=port_base + 2 * gi,
                                    scout_port=port_base + 2 * gi + 1)

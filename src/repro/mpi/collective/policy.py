@@ -149,7 +149,8 @@ def comm_topology(comm) -> Optional[TopoInfo]:
     Derives from the same :func:`~repro.mpi.collective.hier.
     segment_layout` the ``hier-mcast`` implementations execute against,
     so the policy's model and the impl's behaviour cannot drift; the
-    (static) answer is cached on the communicator.
+    layout is computed once per member set and shared by every rank,
+    and the (static) answer is cached on the communicator.
     """
     if comm._topo_info is not False:
         return comm._topo_info
@@ -157,11 +158,11 @@ def comm_topology(comm) -> Optional[TopoInfo]:
     if comm.world.cluster.nsegments > 1:
         from .hier import segment_layout
 
-        dense, _members, _leaders, contiguous, paths = \
-            segment_layout(comm)
-        if len(set(dense)) > 1:
-            info = TopoInfo(seg_of_rank=dense, contiguous=contiguous,
-                            paths=paths)
+        layout = segment_layout(comm)
+        if len(layout.members) > 1:
+            info = TopoInfo(seg_of_rank=layout.seg_of_rank,
+                            contiguous=layout.contiguous,
+                            paths=layout.paths)
     comm._topo_info = info
     return info
 

@@ -45,11 +45,13 @@ UNDEFINED = None
 class Communicator:
     """One rank's view of a process group."""
 
-    def __init__(self, world, ctx: int, rank: int, ranks: list[int]):
+    def __init__(self, world, ctx: int, rank: int, ranks: Sequence[int]):
         self.world = world
         self.ctx = ctx
         self.rank = rank
-        self.ranks = list(ranks)          #: host address per rank
+        #: host address per rank; a tuple, so ranks holding the same
+        #: member set share one key into the world's topology memos
+        self.ranks = tuple(ranks)
         self.endpoint: MpiEndpoint = world.endpoints[ranks[rank]]
         self.host: Host = self.endpoint.host
         self.sim = self.host.sim

@@ -40,6 +40,12 @@ class MpiWorld:
         self._hier_slabs: dict[int, list] = {}
         self._hier_free: list[tuple[int, int, int]] = []
         self._hier_next: "tuple[int, int] | None" = None
+        #: COMM_WORLD's member addresses, one tuple every rank shares
+        self._world_ranks = tuple(host.addr for host in cluster.hosts)
+        #: member-address tuple -> the communicator's hierarchy layout,
+        #: computed once for all ranks (see
+        #: :func:`repro.mpi.collective.hier.segment_layout`)
+        self.layouts: dict[tuple, object] = {}
 
     # -- context ids -----------------------------------------------------
     def alloc_ctx(self) -> int:
@@ -138,5 +144,5 @@ class MpiWorld:
     # -- communicators ------------------------------------------------------
     def comm_world(self, rank: int) -> Communicator:
         """Rank ``rank``'s COMM_WORLD view (ranks = host addresses 0..n-1)."""
-        addrs = [host.addr for host in self.cluster.hosts]
-        return Communicator(self, ctx=0, rank=rank, ranks=addrs)
+        return Communicator(self, ctx=0, rank=rank,
+                            ranks=self._world_ranks)

@@ -231,6 +231,8 @@ class Fabric:
         self._segments: list[list[int]] = []   # host addrs per segment
         self._segment_of: dict[int, int] = {}
         self._paths: list[tuple] = []          # tree path per segment
+        #: member-address tuple -> (hops, µs/byte); see trunk_diameter
+        self._diameters: dict[tuple, tuple[int, float]] = {}
 
     # -- construction ----------------------------------------------------
     def trunk_params_for(self, tier: int) -> NetParams:
@@ -410,6 +412,36 @@ class Fabric:
         # the edge above a node at depth d is a tier-(d-1) trunk
         return ([d - 1 for d in range(common + 1, len(pa) + 1)]
                 + [d - 1 for d in range(common + 1, len(pb) + 1)])
+
+    def trunk_diameter(self, addrs: tuple) -> tuple[int, float]:
+        """Worst trunk path between any two of the hosts ``addrs``:
+        ``(hops, wire µs per payload byte across those hops)``, each
+        hop weighed by its own tier's rate (:meth:`trunk_params_for`).
+
+        The answer depends only on the set of occupied segments, so the
+        pairwise walk runs over one representative host per segment,
+        once per distinct ``addrs``: every rank of a communicator asks
+        with the same member tuple, and the memo answers all but the
+        first.
+        """
+        hit = self._diameters.get(addrs)
+        if hit is not None:
+            return hit
+        reps: dict[int, int] = {}
+        for addr in addrs:
+            reps.setdefault(self.segment_of(addr), addr)
+        seg_reps = list(reps.values())
+        hops = 0
+        us_per_byte = 0.0
+        for i, a in enumerate(seg_reps):
+            for b in seg_reps[i + 1:]:
+                tiers = self.trunk_path_tiers(a, b)
+                hops = max(hops, len(tiers))
+                us_per_byte = max(us_per_byte, sum(
+                    8.0 / self.trunk_params_for(t).rate_mbps
+                    for t in tiers))
+        self._diameters[addrs] = (hops, us_per_byte)
+        return hops, us_per_byte
 
     def trunk_distance_matrix(self) -> list[list[int]]:
         """``matrix[a][b]`` = trunk hops between host addrs a and b."""

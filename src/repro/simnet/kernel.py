@@ -384,12 +384,21 @@ class Simulator:
         self.active_process: Optional[Process] = None
         self._live_processes: set[Process] = set()
         self._crashed: list[tuple[Process, BaseException]] = []
-        #: records dispatched over the simulator's lifetime (the
-        #: denominator-free half of the events/sec throughput metric)
-        self.processed: int = 0
         #: high-water mark of pending records (heap + now-queue) — the
         #: kernel's working-set size, recorded by the sim-throughput area
         self.peak_live: int = 0
+
+    @property
+    def processed(self) -> int:
+        """Records dispatched over the simulator's lifetime (the
+        denominator-free half of the events/sec throughput metric).
+
+        Every record is numbered by ``_seq`` when scheduled and leaves
+        the queues only by being dispatched, so the count is scheduled
+        minus pending: exact at any moment, also from inside a dispatch
+        (which counts the record being dispatched), and free of any
+        per-record bookkeeping on the hot loop."""
+        return self._seq - len(self._heap) - len(self._nowq)
 
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
@@ -458,7 +467,6 @@ class Simulator:
         else:
             due, _seq, event = heapq.heappop(heap)
         self.now = due
-        self.processed += 1
         event._dispatch()
 
     def peek(self) -> float:
@@ -507,40 +515,33 @@ class Simulator:
         nowq = self._nowq
         heappop = heapq.heappop
         crashed = self._crashed
-        n_dispatched = 0
-        try:
-            while heap or nowq:
-                if nowq and (not heap or nowq[0] < heap[0]):
-                    head = nowq[0]
-                    if until is not None and head[0] > until:
-                        self.now = until
-                        break
-                    nowq.popleft()
-                else:
-                    head = heap[0]
-                    if until is not None and head[0] > until:
-                        self.now = until
-                        break
-                    heappop(heap)
-                self.now = head[0]
-                n_dispatched += 1
-                head[2]._dispatch()
-                if crashed:
-                    proc, exc = crashed[0]
-                    # A crash is only fatal if nobody is joined on that
-                    # process (its failure event would otherwise propagate
-                    # the error).
-                    if proc.callbacks is not None and not proc.callbacks:
-                        crashed.clear()
-                        raise exc
-                    crashed.clear()
+        while heap or nowq:
+            if nowq and (not heap or nowq[0] < heap[0]):
+                head = nowq[0]
+                if until is not None and head[0] > until:
+                    self.now = until
+                    break
+                nowq.popleft()
             else:
-                alive = [p for p in self._live_processes
-                         if p.is_alive and not p.daemon]
-                if alive and until is None:
-                    raise DeadlockError(alive)
-        finally:
-            # Local counter + one writeback keeps the hot loop free of
-            # attribute stores while still surviving exceptions.
-            self.processed += n_dispatched
+                head = heap[0]
+                if until is not None and head[0] > until:
+                    self.now = until
+                    break
+                heappop(heap)
+            self.now = head[0]
+            head[2]._dispatch()
+            if crashed:
+                proc, exc = crashed[0]
+                # A crash is only fatal if nobody is joined on that
+                # process (its failure event would otherwise propagate
+                # the error).
+                if proc.callbacks is not None and not proc.callbacks:
+                    crashed.clear()
+                    raise exc
+                crashed.clear()
+        else:
+            alive = [p for p in self._live_processes
+                     if p.is_alive and not p.daemon]
+            if alive and until is None:
+                raise DeadlockError(alive)
         return self.now

@@ -150,6 +150,15 @@ class Cluster:
             return self.fabric.trunk_hops(a, b)
         return 0
 
+    def trunk_diameter(self, addrs: tuple) -> tuple[int, float]:
+        """Worst trunk path among the hosts ``addrs``: ``(hops, wire
+        µs per payload byte)``, memoized per member tuple
+        (:meth:`~repro.simnet.fabric.Fabric.trunk_diameter`);
+        ``(0, 0.0)`` on flat topologies."""
+        if self.fabric is not None:
+            return self.fabric.trunk_diameter(addrs)
+        return 0, 0.0
+
     def trunk_distance_matrix(self) -> list[list[int]]:
         """``matrix[a][b]`` = trunk hops between host addrs a and b."""
         if self.fabric is not None:

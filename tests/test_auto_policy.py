@@ -240,9 +240,9 @@ def _topo(seg_of_rank):
     against — fixtures cannot drift from hier's definitions."""
     from repro.mpi.collective.hier import layout_from_segments
 
-    dense, _members, _leaders, contiguous = layout_from_segments(
-        list(seg_of_rank))
-    return TopoInfo(seg_of_rank=dense, contiguous=contiguous)
+    layout = layout_from_segments(list(seg_of_rank))
+    return TopoInfo(seg_of_rank=layout.seg_of_rank,
+                    contiguous=layout.contiguous)
 
 
 TREE_2x4 = _topo((0, 0, 0, 0, 1, 1, 1, 1))

@@ -275,3 +275,31 @@ def test_determinism_same_seedless_structure():
         return trace
 
     assert build() == build()
+
+
+def test_processed_counts_dispatches_live_and_in_total():
+    """``processed`` is exact at any moment, also read from inside a
+    dispatch mid-run (the sim-throughput area splits set-up events
+    from run events that way), and across step() and repeated run()."""
+    sim = Simulator()
+    seen = []
+    calls = []
+
+    def proc():
+        for _ in range(3):
+            yield sim.timeout(1.0)
+            seen.append(sim.processed)
+
+    sim.process(proc())
+    for t in (0.5, 1.5, 2.5):
+        sim.schedule_call(t, calls.append, t)
+    sim.run(until=2.0)
+    assert seen and seen == sorted(seen) and seen[0] > 0
+    mid = sim.processed
+    sim.step()
+    assert sim.processed == mid + 1
+    sim.run()
+    assert len(calls) == 3
+    # every scheduled record was dispatched exactly once
+    assert sim.processed == sim._seq
+    assert seen[-1] < sim.processed
